@@ -154,11 +154,11 @@ BM_CombinedUMonAccess(benchmark::State& state)
 BENCHMARK(BM_CombinedUMonAccess);
 
 TalusCache::Config
-facadeBenchConfig()
+facadeBenchConfig(uint32_t ways = 16)
 {
     TalusCache::Config cc;
     cc.llcLines = 16384;
-    cc.ways = 16;
+    cc.ways = ways;
     cc.numParts = 1;
     cc.allocatorName = "";
     cc.seed = 21;
@@ -175,11 +175,15 @@ facadeBenchAddrs()
     return addrs;
 }
 
-/** Serial facade access: monitors + routed cache, one call per addr. */
+/**
+ * Serial facade access: monitors + routed cache, one call per addr.
+ * The plain name is the 16-way geometry the perf gate tracks; the
+ * ways:32 variant is the paper's LLC associativity (Table I).
+ */
 void
-BM_TalusFacadeAccess(benchmark::State& state)
+BM_TalusFacadeAccess(benchmark::State& state, uint32_t ways)
 {
-    TalusCache cache(facadeBenchConfig());
+    TalusCache cache(facadeBenchConfig(ways));
     const std::vector<Addr> addrs = facadeBenchAddrs();
     size_t i = 0;
     for (auto _ : state) {
@@ -188,14 +192,20 @@ BM_TalusFacadeAccess(benchmark::State& state)
     }
     state.SetItemsProcessed(state.iterations());
 }
+void
+BM_TalusFacadeAccess(benchmark::State& state)
+{
+    BM_TalusFacadeAccess(state, 16);
+}
 BENCHMARK(BM_TalusFacadeAccess);
+BENCHMARK_CAPTURE(BM_TalusFacadeAccess, ways:32, 32);
 
 /** Same facade and address stream, driven through accessBatch. */
 void
-BM_TalusBatchedAccess(benchmark::State& state)
+BM_TalusBatchedAccess(benchmark::State& state, uint32_t ways)
 {
     constexpr size_t kBlock = 4096;
-    TalusCache cache(facadeBenchConfig());
+    TalusCache cache(facadeBenchConfig(ways));
     const std::vector<Addr> addrs = facadeBenchAddrs();
     size_t off = 0;
     for (auto _ : state) {
@@ -206,7 +216,13 @@ BM_TalusBatchedAccess(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(kBlock));
 }
+void
+BM_TalusBatchedAccess(benchmark::State& state)
+{
+    BM_TalusBatchedAccess(state, 16);
+}
 BENCHMARK(BM_TalusBatchedAccess);
+BENCHMARK_CAPTURE(BM_TalusBatchedAccess, ways:32, 32);
 
 /**
  * The metricsEnabled toll on the batched facade path: the same load

@@ -56,12 +56,6 @@ TalusController::accessBlock(const Addr* addrs, uint64_t n, PartId part)
         // before its first real configuration — take this path.
         return phys_->accessBatchUniform(addrs, n, 2 * part);
     }
-    if (n == 1) {
-        // Serial fast path: one hash, one routed access, no scratch.
-        const PartId phys = router.toAlpha(addrs[0]) ? 2 * part
-                                                     : 2 * part + 1;
-        return phys_->accessBatchRouted(addrs, &phys, 1);
-    }
     routeHash_.resize(n);
     routeParts_.resize(n);
     router.hashFn().hashBlock(Span<const Addr>(addrs, n),

@@ -21,10 +21,6 @@
 #include <string>
 #include <vector>
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#include <immintrin.h>
-#endif
-
 #include "cache/cache_stats.h"
 #include "cache/set_assoc_cache.h"
 #include "util/aligned.h"
@@ -107,9 +103,9 @@ class PartitionedCacheBase
 
 /**
  * 32-bit fold of a line address, used as a probe fingerprint by the
- * fused kernels: a whole 16-way row of fingerprints fits one cache
- * line, so the common probe touches half the lines the full tag row
- * would. Any fold works — a colliding fingerprint only costs a
+ * fused kernel: a fingerprint row is half the bytes of the full tag
+ * row (one cache line per 16 ways), so the common probe touches half
+ * the lines. Any fold works — a colliding fingerprint only costs a
  * verification load against the canonical tag, never correctness.
  */
 inline uint32_t
@@ -119,82 +115,83 @@ tagFingerprint(Addr a)
 }
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define TALUS_FUSED1_AVX2 1
+#define TALUS_ROW_AVX2 1
 #endif
 
-#if TALUS_FUSED1_AVX2
 /**
- * AVX2 specializations of the single-access kernel's two 16-way
- * loops. The serial facade inlines accessFused1 into plain-baseline
- * callers, where GCC's auto-vectorizer never fires (unlike the
- * target_clones'd batch kernel), so the hot row scans run ~64 scalar
- * ops each; these hand-written bodies do the same work in a handful
- * of vector ops behind one predictable cpu-support branch. Both are
- * bit-exact with the scalar loops: the probe is pure lane-wise
- * equality, and the argmin reduces unique keys, so the minimum is
- * order-independent.
+ * The fused kernel's two per-access row scans over one set's ways,
+ * each with a scalar body for any width and an AVX2 body for widths
+ * that are a multiple of 8 (up to 64). Both bodies are bit-exact with
+ * each other: the probe is pure lane-wise equality, and the argmin
+ * reduces unique keys, so its minimum is order-independent.
  */
-namespace fused1 {
+namespace rowscan {
 
-/** True once at startup iff the host executes AVX2. */
-inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
-
-/** 16-lane fingerprint-equality mask over one 64-byte row. */
-__attribute__((target("avx2"))) inline uint64_t
-probeRow16(const uint32_t* row, uint32_t fp)
+/** Bit w set iff row[w] == @p fp, for w < @p ways. */
+inline uint64_t
+probeRowScalar(const uint32_t* row, uint32_t fp, uint32_t ways)
 {
-    const __m256i needle = _mm256_set1_epi32(static_cast<int>(fp));
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(row));
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(row + 8));
-    const uint32_t mlo = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(lo, needle))));
-    const uint32_t mhi = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(hi, needle))));
-    return mlo | (mhi << 8);
+    uint64_t m = 0;
+    for (uint32_t w = 0; w < ways; ++w)
+        m |= static_cast<uint64_t>(row[w] == fp) << w;
+    return m;
 }
 
 /**
- * Way of the minimum packed key ((stamp << 6) | way, excluded ways
- * saturated to all-ones) over a 16-way stamp row. @p m != 0. AVX2 has
- * no unsigned 64-bit min, so lanes are compared with the sign bit
- * flipped (signed greater-than over biased values == unsigned).
+ * Way of the least-recently-stamped line among the ways selected by
+ * @p m (m != 0). LRU stamps are unique, so packing (stamp << 6) | way
+ * turns the walk into a pure min-reduction with no way-order
+ * tie-break; excluded ways saturate to all-ones, above any real key
+ * (stamps stay far below 2^58 for any feasible run).
  */
-__attribute__((target("avx2"))) inline uint32_t
-argminRow16(const uint64_t* srow, uint64_t m)
+inline uint32_t
+argminRowScalar(const uint64_t* srow, uint64_t m, uint32_t ways)
 {
-    const __m256i one = _mm256_set1_epi64x(1);
-    const __m256i mv = _mm256_set1_epi64x(static_cast<long long>(m));
-    const __m256i sgn = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    __m256i best = _mm256_set1_epi64x(-1);
-    for (uint32_t g = 0; g < 4; ++g) {
-        const __m256i widx = _mm256_setr_epi64x(
-            g * 4, g * 4 + 1, g * 4 + 2, g * 4 + 3);
-        // excl = (bit set ? 0 : ~0), as (bit & 1) - 1.
-        const __m256i bit =
-            _mm256_and_si256(_mm256_srlv_epi64(mv, widx), one);
-        const __m256i excl = _mm256_sub_epi64(bit, one);
-        const __m256i st = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(srow + g * 4));
-        const __m256i key = _mm256_or_si256(
-            _mm256_or_si256(_mm256_slli_epi64(st, 6), widx), excl);
-        const __m256i gt = _mm256_cmpgt_epi64(
-            _mm256_xor_si256(best, sgn), _mm256_xor_si256(key, sgn));
-        best = _mm256_blendv_epi8(best, key, gt);
+    uint64_t best = ~0ull;
+    for (uint32_t w = 0; w < ways; ++w) {
+        const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
+        const uint64_t key = ((srow[w] << 6) | w) | excl;
+        best = key < best ? key : best;
     }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best);
-    uint64_t k = lanes[0];
-    k = lanes[1] < k ? lanes[1] : k;
-    k = lanes[2] < k ? lanes[2] : k;
-    k = lanes[3] < k ? lanes[3] : k;
-    return static_cast<uint32_t>(k & 63);
+    return static_cast<uint32_t>(best & 63);
 }
 
-} // namespace fused1
-#endif // TALUS_FUSED1_AVX2
+#if TALUS_ROW_AVX2
+/** probeRowScalar, 8 lanes per step; needs AVX2 and ways % 8 == 0. */
+uint64_t probeRowAvx2(const uint32_t* row, uint32_t fp, uint32_t ways);
+
+/** argminRowScalar, 4 lanes per step; needs AVX2 and ways % 8 == 0. */
+uint32_t argminRowAvx2(const uint64_t* srow, uint64_t m, uint32_t ways);
+#endif
+
+/** True iff the host runs the AVX2 bodies and @p ways suits them. */
+bool simdUsable(uint32_t ways);
+
+/** Dispatches on @p simd (a simdUsable() result). */
+inline uint64_t
+probeRow(const uint32_t* row, uint32_t fp, uint32_t ways, bool simd)
+{
+#if TALUS_ROW_AVX2
+    if (simd)
+        return probeRowAvx2(row, fp, ways);
+#endif
+    (void)simd;
+    return probeRowScalar(row, fp, ways);
+}
+
+/** Dispatches on @p simd (a simdUsable() result). */
+inline uint32_t
+argminRow(const uint64_t* srow, uint64_t m, uint32_t ways, bool simd)
+{
+#if TALUS_ROW_AVX2
+    if (simd)
+        return argminRowAvx2(srow, m, ways);
+#endif
+    (void)simd;
+    return argminRowScalar(srow, m, ways);
+}
+
+} // namespace rowscan
 
 /** A SetAssocCache driven through a PartitionScheme. */
 class SchemePartitionedCache : public PartitionedCacheBase
@@ -227,56 +224,105 @@ class SchemePartitionedCache : public PartitionedCacheBase
     /** Underlying cache, for tests and monitors. */
     SetAssocCache& cache() { return cache_; }
 
-    /** True when the fused Vantage+LRU batch kernel is active (the
-     *  scheme is VantageScheme and the policy is exactly LRU). */
+    /** True when the fused Vantage+LRU kernel is active (the scheme
+     *  is VantageScheme and the policy is exactly LRU). */
     bool fusedKernelActive() const { return fusedLru_ != nullptr; }
 
     /**
-     * The single-access specialization of the fused kernel, header-
-     * inline so the TalusCache facade's flattened serial path pays no
-     * out-of-line call for a whole access (monitor sample + route +
-     * this probe run straight-line in the caller). Bit-exact with
-     * fusedBatch(&addr, nullptr, 1, part): the same operations in the
-     * same order, minus the block-only machinery (set precompute,
-     * prefetch lookahead) that is a no-op at n == 1.
-     *
-     * Ownership is derived from the per-set masks instead of the
-     * lparts/valid arrays (the struct-of-arrays layout the kernel
-     * maintains): a hit way is unmanaged iff its umk bit is set, a
-     * victim's owner is implied by which mask selected it, and an
-     * invalid-way victim needs no eviction bookkeeping at all. The
-     * canonical arrays are still written on every mutation, so
-     * external readers (the generic path, tests, invalidation) always
-     * see the same state.
+     * One access through the fused kernel, header-inline so the
+     * TalusCache facade's flattened serial path pays no out-of-line
+     * call for a whole access (monitor sample + route + this probe run
+     * straight-line in the caller). The batched entry points are a
+     * loop over the same body, so both are bit-exact with each other
+     * and with the generic SetAssocCache path.
      *
      * Caller must check fusedKernelActive() first.
-     *
-     * always_inline because this is the whole point of the flattened
-     * facade path: at ~150 statements GCC's inliner judges the body
-     * too big and emits a call, which reintroduces exactly the
-     * per-access call overhead the facade flattening removed.
      */
     __attribute__((always_inline)) inline bool
     accessFused1(Addr addr, PartId part)
     {
         if (maskEpoch_ != cache_.mutationEpoch())
             rebuildMasks();
-        const FusedCtx& c = ctx_;
+        return fusedAccess(ctx_, addr, part, setIndex(ctx_, addr));
+    }
+
+  private:
+    /**
+     * Kernel context captured at rebuildMasks() time: every pointer
+     * and geometry field the kernel needs, packed so an access reads
+     * one struct instead of chasing through four objects. All
+     * pointers are stable between rebuilds — the paths that could
+     * reseat them (generic access, invalidation, setTargets) bump the
+     * mutation epoch or invalidate maskEpoch_ directly.
+     */
+    struct FusedCtx
+    {
+        Addr* tags;
+        uint8_t* valid;
+        PartId* lparts;
+        uint64_t* stamps;
+        uint64_t* clock;
+        uint64_t* occ;
+        const uint64_t* targets;
+        uint64_t* unmanaged;
+        uint64_t* umk;
+        uint64_t* pmk;
+        uint32_t* fpt;
+        uint64_t* accRaw;
+        uint64_t* hitRaw;
+        uint64_t hashSeed;
+        uint32_t ways;
+        uint32_t sets;
+        uint32_t setMask;
+        uint32_t nparts;
+        bool setsPow2;
+        bool hashed;
+        bool simd; //!< rowscan::simdUsable(ways), probed once.
+    };
+
+    static __attribute__((always_inline)) inline uint32_t
+    setIndex(const FusedCtx& c, Addr addr)
+    {
+        const uint64_t h = c.hashed ? mix64(addr ^ c.hashSeed) : addr;
+        return c.setsPow2 ? static_cast<uint32_t>(h & c.setMask)
+                          : static_cast<uint32_t>(h % c.sets);
+    }
+
+    /**
+     * The kernel body: SetAssocCache::access over VantageScheme +
+     * LruPolicy for @p addr in @p set, in the exact operation order
+     * of the generic path (probe -> stats -> stamp -> promote/victim
+     * -> evict bookkeeping -> insert -> demote). Every counter the
+     * generic path's virtual hooks would touch is updated inline, so
+     * the state after any access is bit-identical —
+     * tests/multiprog_equivalence_test.cc and batch_access_test.cc
+     * hold the generic path up against this one access by access.
+     *
+     * Ownership is derived from the per-set masks instead of the
+     * lparts/valid arrays: a hit way is unmanaged iff its umk bit is
+     * set, a victim's owner is implied by which mask selected it, and
+     * an invalid-way victim needs no eviction bookkeeping at all. The
+     * canonical arrays are still written on every mutation, so
+     * external readers (the generic path, tests, invalidation) always
+     * see the same state.
+     *
+     * always_inline because the flattened facade path depends on it:
+     * at this size GCC's inliner emits a call, which reintroduces the
+     * per-access call overhead the facade flattening removed.
+     */
+    __attribute__((always_inline)) inline bool
+    fusedAccess(const FusedCtx& c, Addr addr, PartId part, uint32_t set)
+    {
         const uint32_t ways = c.ways;
         const uint32_t nparts = c.nparts;
         talus_assert(part < nparts, "bad partition id ", part);
         talus_assert(addr != SetAssocCache::kInvalidTag,
                      "address aliases the invalid-tag sentinel");
-        const uint64_t h = c.hashed ? mix64(addr ^ c.hashSeed) : addr;
-        const uint32_t set =
-            c.setsPow2 ? static_cast<uint32_t>(h & c.setMask)
-                       : static_cast<uint32_t>(h % c.sets);
         const uint32_t base = set * ways;
         Addr* tags = c.tags;
         uint64_t* stamps = c.stamps;
         uint64_t* umk = c.umk;
-        uint64_t* pmk = c.pmk;
-        uint32_t* fpt = c.fpt;
+        uint64_t* pmk = c.pmk + static_cast<size_t>(set) * nparts;
 
         // Touch the stamp row and masks before the probe resolves:
         // every access writes a stamp (hit promotion or insert) and
@@ -286,28 +332,15 @@ class SchemePartitionedCache : public PartitionedCacheBase
         __builtin_prefetch(&stamps[base], 1);
         __builtin_prefetch(&stamps[base + ways - 1], 1);
         __builtin_prefetch(&umk[set], 1);
-        __builtin_prefetch(&pmk[static_cast<size_t>(set) * nparts], 1);
+        __builtin_prefetch(pmk, 1);
 
-        // Probe the 32-bit fingerprint row — one cache line covers all
-        // 16 ways, where the full tag row needs two. A fingerprint
-        // match is only a candidate: it is verified against the
-        // canonical tag below, so fold collisions cost a verify, never
-        // correctness. No fingerprint match is a definite miss (the
-        // fold is a function of the address), in which case the full
-        // tag row is never read at all.
+        // Probe the 32-bit fingerprint row. A fingerprint match is
+        // only a candidate: it is verified against the canonical tag,
+        // so fold collisions cost a verify, never correctness. No
+        // fingerprint match is a definite miss (the fold is a function
+        // of the address), in which case the tag row is never read.
         const uint32_t fp = tagFingerprint(addr);
-        uint64_t m_fp = 0;
-#if TALUS_FUSED1_AVX2
-        if (ways == 16 && fused1::kHaveAvx2) {
-            m_fp = fused1::probeRow16(fpt + base, fp);
-        } else
-#endif
-        {
-            for (uint32_t w = 0; w < ways; ++w) {
-                m_fp |= static_cast<uint64_t>(fpt[base + w] == fp)
-                        << w;
-            }
-        }
+        uint64_t m_fp = rowscan::probeRow(c.fpt + base, fp, ways, c.simd);
         uint64_t m_match = 0;
         while (m_fp != 0) {
             const uint32_t w =
@@ -320,46 +353,26 @@ class SchemePartitionedCache : public PartitionedCacheBase
         }
         c.accRaw[part]++;
 
-        // Same packed-key branchless argmin as fusedBatch (see the
-        // kernel for the full rationale); m != 0 guaranteed.
         const auto argminStamp = [&](uint64_t m) -> uint32_t {
-#if TALUS_FUSED1_AVX2
-            if (ways == 16 && fused1::kHaveAvx2)
-                return base + fused1::argminRow16(stamps + base, m);
-#endif
-            uint64_t best = ~0ull;
-            if (ways == 16) {
-                for (uint32_t w = 0; w < 16; ++w) {
-                    const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
-                    const uint64_t key =
-                        ((stamps[base + w] << 6) | w) | excl;
-                    best = key < best ? key : best;
-                }
-            } else {
-                for (uint32_t w = 0; w < ways; ++w) {
-                    const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
-                    const uint64_t key =
-                        ((stamps[base + w] << 6) | w) | excl;
-                    best = key < best ? key : best;
-                }
-            }
-            return base + static_cast<uint32_t>(best & 63);
+            return base +
+                   rowscan::argminRow(stamps + base, m, ways, c.simd);
         };
 
+        // demoteIfOverTarget with the LRU argmin fused in (unique
+        // stamps make the mask-restricted minimum == LruPolicy::victim
+        // over way-ordered candidates).
         const auto demote = [&](uint32_t inserted, PartId p) {
             if (c.occ[p] <= c.targets[p] || c.targets[p] == 0)
                 return;
-            const uint64_t m =
-                pmk[static_cast<size_t>(set) * nparts + p] &
-                ~(1ull << (inserted - base));
+            // Walk only p's ways, minus the just-inserted line.
+            const uint64_t m = pmk[p] & ~(1ull << (inserted - base));
             if (m == 0)
-                return;
+                return; // Cannot demote within this set; converges later.
             const uint32_t demoted = argminStamp(m);
             c.lparts[demoted] = kNoPart;
             c.occ[p]--;
             (*c.unmanaged)++;
-            pmk[static_cast<size_t>(set) * nparts + p] &=
-                ~(1ull << (demoted - base));
+            pmk[p] &= ~(1ull << (demoted - base));
             umk[set] |= 1ull << (demoted - base);
         };
 
@@ -370,31 +383,28 @@ class SchemePartitionedCache : public PartitionedCacheBase
             c.hitRaw[part]++;
             stamps[hit_line] = ++*c.clock;
             if ((umk[set] >> hw) & 1) {
-                // Promotion — the hit way's umk bit says it was
-                // unmanaged (masks track exactly valid+kNoPart).
+                // Promotion: an unmanaged line that hits rejoins the
+                // accessing partition, rebalancing immediately (the
+                // umk bit is exactly "valid and owner == kNoPart").
                 c.lparts[hit_line] = part;
                 c.occ[part]++;
                 if (*c.unmanaged > 0)
                     (*c.unmanaged)--;
                 umk[set] &= ~(1ull << hw);
-                pmk[static_cast<size_t>(set) * nparts + part] |= 1ull
-                                                                 << hw;
+                pmk[part] |= 1ull << hw;
                 demote(hit_line, part);
             }
             return true;
         }
 
-        // Miss: invalid way first (no eviction bookkeeping — an
-        // invalid tag implies !valid), else unmanaged LRU (owner is
-        // kNoPart by construction), else the LRU of the most
-        // over-target partition present (owner == worst). The invalid
-        // ways fall out of the masks the miss path loads anyway — the
-        // masks cover exactly the valid lines (umk = valid+kNoPart,
-        // pmk = valid+owner), so their complement over the way range
-        // is precisely the invalid set, in way order. No tag scan.
+        // Miss: invalid way first, else unmanaged LRU, else the LRU of
+        // the most over-target partition present. The masks cover
+        // exactly the valid lines (umk = valid+kNoPart, pmk =
+        // valid+owner), so their complement over the way range is
+        // precisely the invalid set, in way order. No tag scan.
         uint64_t m_valid = umk[set];
         for (uint32_t q = 0; q < nparts; ++q)
-            m_valid |= pmk[static_cast<size_t>(set) * nparts + q];
+            m_valid |= pmk[q];
         const uint64_t way_span =
             ways == 64 ? ~0ull : (1ull << ways) - 1;
         const uint64_t m_inval = ~m_valid & way_span;
@@ -416,17 +426,18 @@ class SchemePartitionedCache : public PartitionedCacheBase
                     (*c.unmanaged)--;
                 umk[set] &= ~(1ull << (victim - base));
             } else {
-                // The rare set-conflict scan. The plain divide is the
-                // generic path's exact computation (the batched
-                // kernel's FMA-corrected reciprocal rounds
-                // identically); once per conflict miss it costs less
-                // than priming the reciprocal pipeline here would.
+                // The rare set-conflict scan, with the generic path's
+                // exact divide. The generic path walks ways in order
+                // and keeps the first strictly-greater ratio, i.e.
+                // among the parts tied at the maximum ratio it picks
+                // the one whose first way in this set is earliest;
+                // iterating parts with that explicit tie-break is
+                // equivalent and touches each present part once.
                 PartId worst = kNoPart;
                 double worst_ratio = -1.0;
                 uint32_t worst_first = 64;
                 for (uint32_t q = 0; q < nparts; ++q) {
-                    const uint64_t mq =
-                        pmk[static_cast<size_t>(set) * nparts + q];
+                    const uint64_t mq = pmk[q];
                     if (mq == 0)
                         continue;
                     const double ratio =
@@ -437,8 +448,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
                     const uint32_t first =
                         static_cast<uint32_t>(__builtin_ctzll(mq));
                     if (ratio > worst_ratio ||
-                        (ratio == worst_ratio &&
-                         first < worst_first)) {
+                        (ratio == worst_ratio && first < worst_first)) {
                         worst_ratio = ratio;
                         worst = q;
                         worst_first = first;
@@ -446,37 +456,34 @@ class SchemePartitionedCache : public PartitionedCacheBase
                 }
                 talus_assert(worst != kNoPart,
                              "set full of foreign lines");
-                victim = argminStamp(
-                    pmk[static_cast<size_t>(set) * nparts + worst]);
+                victim = argminStamp(pmk[worst]);
                 cache_.stats().addEvictions(1);
                 if (c.occ[worst] > 0)
                     c.occ[worst]--;
-                pmk[static_cast<size_t>(set) * nparts + worst] &=
-                    ~(1ull << (victim - base));
+                pmk[worst] &= ~(1ull << (victim - base));
             }
         }
         tags[victim] = addr;
-        fpt[victim] = fp;
+        c.fpt[victim] = fp;
         c.valid[victim] = 1;
         c.lparts[victim] = part;
         stamps[victim] = ++*c.clock;
         c.occ[part]++;
-        pmk[static_cast<size_t>(set) * nparts + part] |=
-            1ull << (victim - base);
+        pmk[part] |= 1ull << (victim - base);
         demote(victim, part);
         return false;
     }
 
-  private:
-    /** The fused Vantage+LRU batch kernel: one devirtualized loop
-     *  replicating access() exactly. @p route is per-address
-     *  partitions or nullptr for uniform @p upart. */
+    /** The batched entry points: a prefetching loop over
+     *  fusedAccess(). @p route is per-address partitions or nullptr
+     *  for uniform @p upart. */
     uint64_t fusedBatch(const Addr* addrs, const PartId* route,
                         uint64_t n, PartId upart);
 
-    /** Rebuilds the per-set occupancy masks from the line arrays and
-     *  records the cache's mutation epoch. Called lazily by
-     *  fusedBatch when someone mutated lines behind its back. */
+    /** Rebuilds the per-set occupancy masks and fingerprints from the
+     *  line arrays, recaptures ctx_, and records the cache's mutation
+     *  epoch. Called lazily when someone mutated lines behind the
+     *  kernel's back. */
     void rebuildMasks();
 
     SetAssocCache cache_;
@@ -497,61 +504,14 @@ class SchemePartitionedCache : public PartitionedCacheBase
 
     /**
      * Per-line tagFingerprint() mirror of the tag array (flat line
-     * index, like tags). Probed by accessFused1 and kept in sync by
-     * both kernels' insert paths; rebuilt with the masks whenever the
-     * generic path mutates lines. Fingerprints of invalid lines are
-     * the fold of kInvalidTag — harmless, since every fingerprint
-     * match is verified against the canonical tag.
+     * index, like tags), kept in sync by the kernel's insert path and
+     * rebuilt with the masks whenever the generic path mutates lines.
+     * Fingerprints of invalid lines are the fold of kInvalidTag —
+     * harmless, since every fingerprint match is verified against the
+     * canonical tag.
      */
     CacheAlignedVec<uint32_t> fpTags_;
     uint64_t maskEpoch_ = ~0ull; //!< Forces the initial rebuild.
-    std::vector<uint32_t> setScratch_; //!< Precomputed set indices.
-
-    /**
-     * Per-partition reciprocals of the Vantage targets, refreshed by
-     * rebuildMasks() (setTargets() invalidates maskEpoch_, so a stale
-     * reciprocal can never be read). The kernel's worst-partition
-     * scan divides occupancy by target per present partition per
-     * set-conflict miss; with the reciprocal precomputed, the divide
-     * becomes an FMA-corrected multiply (see fusedBatch) that yields
-     * the exact same correctly-rounded quotient. Entries for
-     * zero targets are never read (the scan's sentinel branch fires
-     * first).
-     */
-    std::vector<double> recipTargets_;
-
-    /**
-     * Kernel context captured at rebuildMasks() time: every pointer
-     * and geometry field fusedBatch needs, packed so a single-access
-     * call reads one struct instead of chasing through four objects.
-     * All pointers are stable between rebuilds — the paths that could
-     * reseat them (generic access, invalidation, setTargets) bump the
-     * mutation epoch or invalidate maskEpoch_ directly.
-     */
-    struct FusedCtx
-    {
-        Addr* tags;
-        uint8_t* valid;
-        PartId* lparts;
-        uint64_t* stamps;
-        uint64_t* clock;
-        uint64_t* occ;
-        const uint64_t* targets;
-        const double* recipTargets;
-        uint64_t* unmanaged;
-        uint64_t* umk;
-        uint64_t* pmk;
-        uint32_t* fpt;
-        uint64_t* accRaw;
-        uint64_t* hitRaw;
-        uint64_t hashSeed;
-        uint32_t ways;
-        uint32_t sets;
-        uint32_t setMask;
-        uint32_t nparts;
-        bool setsPow2;
-        bool hashed;
-    };
     FusedCtx ctx_{};
 };
 
