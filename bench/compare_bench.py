@@ -48,20 +48,17 @@ DEFAULT_TRACKED = [
     # Sharded serving engine (inline dispatch: deterministic and
     # meaningful on any core count; threaded variants are reported
     # but not tracked). The sweep uses UseRealTime — work runs on
-    # pool threads — which suffixes the names.
+    # worker threads — which suffixes the names.
     "BM_ShardedBatchedAccess/shards:1/threads:0/real_time",
     "BM_ShardedBatchedAccess/shards:4/threads:0/real_time",
     # Single-worker dispatch (PR 10): the smallest threaded
     # configuration, tracked so ring-dispatch overhead regressions
     # show up without needing a many-core host.
     "BM_ShardedBatchedAccess/shards:4/threads:1/real_time",
-    # Double-buffered pipelined dispatch (PR 10): multi-block batches
-    # with pipelining off (serial reference) and on. Both rows are
-    # tracked against the baseline; the pipeline:1 >= pipeline:0
-    # expectation is a SCALING_INVARIANTS entry, gated on >= 2 CPUs
-    # (on one core the producer and worker just time-slice).
-    "BM_ShardedPipelinedAccess/pipeline:0/real_time",
-    "BM_ShardedPipelinedAccess/pipeline:1/real_time",
+    # Double-buffered block dispatch (PR 10): multi-block batches on
+    # one worker, so the caller's scatter of block k+1 overlaps the
+    # worker's drain of block k.
+    "BM_ShardedPipelinedAccess/threads:1/real_time",
     # Control plane (PR 5): the pure compute stage and the all-shard
     # reconfiguration sweep. As above, only the inline-dispatch row of
     # the sweep is tracked; the threaded rows depend on core count.
@@ -94,12 +91,6 @@ SCALING_INVARIANTS = [
      "BM_ShardedBatchedAccess/shards:4/threads:4/real_time", 4),
     ("BM_ServingClosedLoop/shards:4/threads:0/real_time",
      "BM_ServingClosedLoop/shards:4/threads:4/real_time", 4),
-    # Pipelined dispatch (PR 10): overlapping the caller's scatter of
-    # block k+1 with the worker's drain of block k must not lose to
-    # serial dispatch. Needs two CPUs — producer and worker time-slice
-    # on one core, making the comparison noise.
-    ("BM_ShardedPipelinedAccess/pipeline:0/real_time",
-     "BM_ShardedPipelinedAccess/pipeline:1/real_time", 2),
 ]
 
 # Bounded-overhead invariants, checked on the current run alone: each

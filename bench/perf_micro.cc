@@ -277,9 +277,9 @@ BENCHMARK(BM_TalusMonitorOffAccess);
  * facade bench cache split across shards) so the sweep isolates the
  * shard layer's routing + dispatch cost. The threads:0 rows are the
  * deterministic, host-independent ones the regression gate tracks;
- * the threads:2/threads:4 rows of the same sweep measure worker-pool
+ * the threads:2/threads:4 rows of the same sweep measure pinned-worker
  * dispatch and depend on core count (hence UseRealTime: with work on
- * pool threads, the main thread's cpu_time would be meaningless).
+ * worker threads, the main thread's cpu_time would be meaningless).
  */
 void
 BM_ShardedBatchedAccess(benchmark::State& state)
@@ -315,14 +315,11 @@ BENCHMARK(BM_ShardedBatchedAccess)
     ->UseRealTime();
 
 /**
- * Pipelined vs serial dispatch on batches spanning several
- * kPipelineBlock blocks (the only shape where the double-buffered
- * scatter can engage): one worker thread, so the overlap measured is
- * precisely "caller scatters block k+1 while the worker drains block
- * k". pipeline:0 is the serial scatter-then-wait reference of the
- * same configuration. On single-core hosts the two rows converge (the
- * caller and worker time-slice); compare_bench.py only enforces
- * pipeline:1 >= pipeline:0 on hosts with >= 2 CPUs.
+ * Double-buffered dispatch on batches spanning several kPipelineBlock
+ * blocks (the only shape where the caller's scatter of block k+1 can
+ * overlap the workers' drain of block k): one worker thread, so the
+ * overlap measured is precisely "caller scatters block k+1 while the
+ * worker drains block k".
  */
 void
 BM_ShardedPipelinedAccess(benchmark::State& state)
@@ -332,8 +329,7 @@ BM_ShardedPipelinedAccess(benchmark::State& state)
     cfg.shard = facadeBenchConfig();
     cfg.shard.llcLines = 16384 / 4;
     cfg.numShards = 4;
-    cfg.threads = 1;
-    cfg.pipelineDispatch = state.range(0) != 0;
+    cfg.threads = static_cast<uint32_t>(state.range(0));
     ShardedTalusCache cache(cfg);
     const std::vector<Addr> addrs = facadeBenchAddrs();
     size_t off = 0;
@@ -346,8 +342,7 @@ BM_ShardedPipelinedAccess(benchmark::State& state)
                             static_cast<int64_t>(kBatch));
 }
 BENCHMARK(BM_ShardedPipelinedAccess)
-    ->ArgName("pipeline")
-    ->Arg(0)
+    ->ArgName("threads")
     ->Arg(1)
     ->UseRealTime();
 
@@ -540,7 +535,8 @@ BENCHMARK(BM_ControlPlaneStep);
  * reconfigureAll(). The threads:0 row is the deterministic tracked
  * one; threads:2/4 of the same sweep show that per-shard control
  * steps no longer serialize — on multi-core hosts they overlap on
- * the worker pool (UseRealTime: the work runs on pool threads).
+ * the shards' pinned workers (UseRealTime: the work runs on worker
+ * threads).
  */
 void
 BM_ShardedReconfigure(benchmark::State& state)

@@ -18,7 +18,7 @@
  *  - runControlStep() maps one to the other. It reads nothing but its
  *    arguments and writes nothing but its result, so control steps
  *    for independent caches (e.g. the shards of a ShardedTalusCache)
- *    can run concurrently on a worker pool.
+ *    can run concurrently on separate threads.
  *
  * The math is the exact sequence TalusCache::reconfigure() ran
  * inline before the extraction: weight each partition's miss-ratio

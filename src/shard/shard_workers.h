@@ -1,22 +1,21 @@
 /**
  * @file
  * PinnedWorkers: persistent shard-pinned worker threads fed through
- * bounded SPSC rings — the serving engine's data-path dispatcher.
+ * bounded SPSC rings — the serving engine's one dispatcher, for
+ * data-path sub-batches and per-shard control steps alike.
  *
- * WorkerPool (shard/worker_pool.h) dispatches a batch by locking a
- * mutex, bumping a generation, waking every worker, and waiting for
- * straggler quiescence; per batch that handshake (plus a
- * std::function rebuild) costs on the order of the work itself, which
- * is why threaded sharding used to scale *negatively*. This
- * dispatcher inverts the model, the way production cache servers do
- * (Apache Traffic Server pins continuations to persistent per-core
- * event threads rather than re-forming a thread team per request):
+ * A thread team re-formed per batch (mutex, generation bump, wake
+ * everyone, wait for stragglers) costs on the order of the work
+ * itself, which is why threaded sharding once scaled *negatively*.
+ * This dispatcher follows production cache servers instead (Apache
+ * Traffic Server pins continuations to persistent per-core event
+ * threads rather than re-forming a thread team per request):
  *
  *  - Each worker thread permanently owns a fixed subset of shards
  *    (shard s belongs to worker s % threads). Only that thread ever
- *    touches those shards' caches on the data path, so per-shard
- *    state needs no locking and outputs can go to per-shard slots
- *    with no cross-worker write contention.
+ *    touches those shards' caches, for batches and control steps
+ *    alike, so per-shard state needs no locking and outputs can go
+ *    to per-shard slots with no cross-worker write contention.
  *  - Work arrives as plain ShardTask descriptors through a per-worker
  *    SPSC ring (shard/spsc_ring.h): dispatching a batch is one ring
  *    push per non-empty shard plus one atomic pending-counter, no
@@ -55,14 +54,28 @@ class Counter;
 class Gauge;
 class MetricRegistry;
 
-/** One unit of data-path work: a shard plus its sub-batch. */
+/** What a ShardTask asks its shard to do. */
+enum class ShardOp : uint8_t
+{
+    Access,            //!< accessBatch over data[0..count).
+    Reconfigure,       //!< One synchronous control step.
+    ReconfigureAtEpoch //!< Control step now, applied in-stream at the
+                       //!< next multiple of count accesses.
+};
+
+/** One unit of per-shard work: a data-path sub-batch or a control
+ *  step. */
 struct ShardTask
 {
-    uint32_t shard = 0;         //!< Target shard index.
-    const Addr* data = nullptr; //!< Sub-batch base. Borrowed: must stay
-                                //!< valid until dispatch() returns.
-    uint64_t count = 0;         //!< Addresses in the sub-batch.
-    PartId part = 0;            //!< Logical partition of the batch.
+    uint32_t shard = 0;           //!< Target shard index.
+    ShardOp op = ShardOp::Access; //!< What to run on the shard.
+    const Addr* data = nullptr;   //!< Access: sub-batch base. Borrowed:
+                                  //!< must stay valid until the
+                                  //!< dispatch completes.
+    uint64_t count = 0;           //!< Access: addresses in the sub-
+                                  //!< batch; ReconfigureAtEpoch: the
+                                  //!< epoch length.
+    PartId part = 0;              //!< Access: logical partition.
 };
 
 /** Persistent shard-pinned workers fed by per-worker SPSC rings. */

@@ -31,7 +31,7 @@ resolveRegistry(const TalusCache::Config& shard)
 }
 
 // Validation gate for the member-initializer list: the router and
-// worker pool are constructed before the constructor body runs, so
+// pinned workers are constructed before the constructor body runs, so
 // an invalid config must throw before either sees it.
 const ShardedTalusCache::Config&
 validated(const ShardedTalusCache::Config& config)
@@ -85,17 +85,9 @@ ShardedTalusCache::ShardedTalusCache(const Config& config)
       router_(cfg_.numShards,
               cfg_.routerSeed.value_or(cfg_.shard.seed ^
                                        kRouterSeedSalt)),
-      pool_(cfg_.threads),
-      // The executor runs on the shard's pinned worker thread; each
-      // shard writes only its own padded hit slot, so per-batch
-      // outputs never contend for a cache line.
-      workers_(
-          cfg_.threads, cfg_.numShards,
-          [this](const ShardTask& t) {
-              shardHits_[t.shard].value = shards_[t.shard]->accessBatch(
-                  Span<const Addr>(t.data, t.count), t.part);
-          },
-          resolveRegistry(cfg_.shard), cfg_.shard.metricsScope)
+      workers_(cfg_.threads, cfg_.numShards,
+               [this](const ShardTask& t) { runTask(t); },
+               resolveRegistry(cfg_.shard), cfg_.shard.metricsScope)
 {
     shards_.reserve(cfg_.numShards);
     for (uint32_t s = 0; s < cfg_.numShards; ++s)
@@ -104,6 +96,29 @@ ShardedTalusCache::ShardedTalusCache(const Config& config)
     tasks_[0].reserve(cfg_.numShards);
     tasks_[1].reserve(cfg_.numShards);
     shardHits_.resize(cfg_.numShards);
+}
+
+void
+ShardedTalusCache::runTask(const ShardTask& t)
+{
+    // Runs on the shard's pinned worker thread (or inline). Each task
+    // touches only its own shard, and an Access task writes only its
+    // shard's padded hit slot, so outputs never contend for a cache
+    // line.
+    TalusCache& shard = *shards_[t.shard];
+    switch (t.op) {
+    case ShardOp::Access:
+        shardHits_[t.shard].value =
+            shard.accessBatch(Span<const Addr>(t.data, t.count), t.part);
+        break;
+    case ShardOp::Reconfigure:
+        shard.reconfigure();
+        break;
+    case ShardOp::ReconfigureAtEpoch:
+        shard.prepareReconfigure();
+        shard.applyReconfigureAtEpoch(t.count);
+        break;
+    }
 }
 
 bool
@@ -126,7 +141,8 @@ ShardedTalusCache::buildTasks(Span<const Addr> addrs, PartId part,
     for (uint32_t s = 0; s < cfg_.numShards; ++s) {
         const uint64_t n = plan.count(s);
         if (n != 0)
-            tasks.push_back(ShardTask{s, plan.shardData(s), n, part});
+            tasks.push_back(
+                ShardTask{s, ShardOp::Access, plan.shardData(s), n, part});
     }
 }
 
@@ -144,75 +160,60 @@ ShardedTalusCache::accessBatch(Span<const Addr> addrs, PartId part)
 {
     if (addrs.empty())
         return 0;
-    const uint64_t n = addrs.size();
-    if (workers_.threadCount() == 0 || !cfg_.pipelineDispatch ||
-        n <= kPipelineBlock) {
-        // Unpipelined: one scatter, one blocking dispatch. Also the
-        // path for single-block batches, where there is nothing to
-        // overlap and the extra wait()/gather bookkeeping would be
-        // pure overhead.
-        buildTasks(addrs, part, plans_[0], tasks_[0]);
-        workers_.dispatch(tasks_[0].data(),
-                          static_cast<uint32_t>(tasks_[0].size()));
-        return gatherHits(tasks_[0]);
-    }
-
-    // Pipelined: while the pinned workers drain block k (submitted
-    // with dispatchAsync), the caller scatters block k+1 into the
-    // spare plan. Each shard still receives its full sub-stream in
-    // stream order — blocks are dispatched in order and wait() fully
-    // drains one block before the next is submitted — and chunking a
-    // TalusCache batch is bit-exact by that class's contract, so the
-    // result matches the unpipelined path bit-for-bit for any thread
-    // count. Block k's hit slots are gathered after its wait() and
-    // before block k+1's dispatch can overwrite them.
+    // Double-buffered block loop: while the pinned workers drain
+    // block k (submitted with dispatchAsync), the caller scatters
+    // block k+1 into the spare plan. Each shard still receives its
+    // full sub-stream in stream order — blocks are dispatched in
+    // order and wait() fully drains one block before the next is
+    // submitted — and chunking a TalusCache batch is bit-exact by
+    // that class's contract, so the result is the same for any
+    // thread count. Block k's hit slots are gathered after its
+    // wait() and before block k+1's dispatch can overwrite them.
+    // With threads == 0, dispatchAsync runs the block inline.
     uint64_t hits = 0;
     uint32_t cur = 0;
-    buildTasks(Span<const Addr>(addrs.data(), kPipelineBlock), part,
-               plans_[cur], tasks_[cur]);
-    workers_.dispatchAsync(tasks_[cur].data(),
-                           static_cast<uint32_t>(tasks_[cur].size()));
-    uint64_t off = kPipelineBlock;
-    while (off < n) {
-        const uint64_t len = std::min(kPipelineBlock, n - off);
+    for (uint64_t off = 0; off < addrs.size(); off += kPipelineBlock) {
+        const uint64_t len = std::min(kPipelineBlock, addrs.size() - off);
         const uint32_t nxt = cur ^ 1u;
         buildTasks(Span<const Addr>(addrs.data() + off, len), part,
                    plans_[nxt], tasks_[nxt]);
-        workers_.wait();
-        hits += gatherHits(tasks_[cur]);
+        if (off != 0) {
+            workers_.wait();
+            hits += gatherHits(tasks_[cur]);
+        }
         workers_.dispatchAsync(
             tasks_[nxt].data(),
             static_cast<uint32_t>(tasks_[nxt].size()));
         cur = nxt;
-        off += len;
     }
     workers_.wait();
-    hits += gatherHits(tasks_[cur]);
-    return hits;
+    return hits + gatherHits(tasks_[cur]);
+}
+
+void
+ShardedTalusCache::dispatchControl(ShardOp op, uint64_t count)
+{
+    // One control step per shard, each on its shard's owner: a task
+    // touches only its own shard's monitors, control plane, and
+    // cache, and the caller serializes against accessBatch, so the
+    // steps are race-free by construction.
+    std::vector<ShardTask>& tasks = tasks_[0];
+    tasks.clear();
+    for (uint32_t s = 0; s < cfg_.numShards; ++s)
+        tasks.push_back(ShardTask{s, op, nullptr, count, 0});
+    workers_.dispatch(tasks.data(), static_cast<uint32_t>(tasks.size()));
 }
 
 void
 ShardedTalusCache::reconfigureAll()
 {
-    // One control step per shard, claimed dynamically by the
-    // WorkerPool. Control stays on the generic pool (not the pinned
-    // data-path workers): steps are rare and heavyweight, so the
-    // pool's handshake cost is irrelevant and its dynamic claiming
-    // load-balances the uneven per-shard compute. Each task touches
-    // only its own shard's monitors, control plane, and cache, and
-    // the caller serializes against accessBatch, so the steps are
-    // race-free by construction.
-    pool_.run(cfg_.numShards,
-              [this](uint32_t s) { shards_[s]->reconfigure(); });
+    dispatchControl(ShardOp::Reconfigure, 0);
 }
 
 void
 ShardedTalusCache::reconfigureAllAtEpoch(uint64_t epochLen)
 {
-    pool_.run(cfg_.numShards, [this, epochLen](uint32_t s) {
-        shards_[s]->prepareReconfigure();
-        shards_[s]->applyReconfigureAtEpoch(epochLen);
-    });
+    dispatchControl(ShardOp::ReconfigureAtEpoch, epochLen);
 }
 
 void

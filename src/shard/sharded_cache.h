@@ -13,15 +13,14 @@
  * sub-stream is driven through TalusCache::accessBatch, and the hit
  * counts are summed from cache-line-padded per-shard slots.
  *
- * With Config::threads > 0 the data path runs on persistent
+ * With Config::threads > 0 every per-shard step runs on persistent
  * shard-pinned workers (shard/shard_workers.h): each worker owns a
  * fixed subset of shards and is fed ShardTask descriptors through a
  * bounded SPSC ring, so a batch costs one ring push per non-empty
  * shard — no mutex, and no wakeup when batches arrive back-to-back.
- * The control plane (reconfigureAll / reconfigureAllAtEpoch) keeps
- * dispatching on the generic WorkerPool: control steps are rare and
- * heavyweight, so handshake cost is irrelevant there, and the pool's
- * dynamic claiming load-balances the uneven per-shard compute.
+ * The control plane (reconfigureAll / reconfigureAllAtEpoch) is the
+ * same dispatch with one control task per shard, so threads = T owns
+ * exactly T OS threads and a shard is only ever touched by its owner.
  *
  * Determinism invariant — the subsystem's test anchor: because shards
  * share no state, every shard's hit/miss sequence, monitor state, and
@@ -44,7 +43,6 @@
 #include "api/talus_cache.h"
 #include "shard/shard_router.h"
 #include "shard/shard_workers.h"
-#include "shard/worker_pool.h"
 #include "util/span.h"
 
 namespace talus {
@@ -64,12 +62,11 @@ class ShardedTalusCache
     static constexpr uint32_t kMaxShards = 1024;
 
     /**
-     * Addresses per pipelined dispatch block (Config::
-     * pipelineDispatch): large enough that per-block dispatch costs
-     * amortize (one ring push per non-empty shard per block), small
-     * enough that two in-flight blocks' scatter buffers stay
-     * cache-resident. Batches no longer than one block run the
-     * unpipelined path — there is nothing to overlap.
+     * Addresses per accessBatch dispatch block: large enough that
+     * per-block dispatch costs amortize (one ring push per non-empty
+     * shard per block), small enough that two in-flight blocks'
+     * scatter buffers stay cache-resident. A batch of at most one
+     * block is one scatter and one dispatch.
      */
     static constexpr uint64_t kPipelineBlock = 4096;
 
@@ -91,21 +88,6 @@ class ShardedTalusCache
                                             //!< it from shard.seed.
 
         /**
-         * Pipeline batch dispatch (threads > 0 only): accessBatch
-         * splits large batches into kPipelineBlock-address blocks and
-         * scatters block k+1 into a second ScatterPlan while the
-         * pinned workers drain block k, overlapping the producer's
-         * routing pass with the workers' cache compute. Bit-exact
-         * with the unpipelined path for any thread count (per-shard
-         * sub-stream order is preserved across blocks, and
-         * TalusCache::accessBatch is bit-exact under any blocking).
-         * Off = one scatter + one dispatch per batch, the PR 9
-         * behaviour, kept as a knob for A/B measurement
-         * (BenchEnv --pipeline / TALUS_PIPELINE).
-         */
-        bool pipelineDispatch = true;
-
-        /**
          * Validates the configuration (including the embedded
          * per-shard Config). Returns "" when valid, otherwise an
          * actionable message.
@@ -114,7 +96,7 @@ class ShardedTalusCache
     };
 
     /**
-     * Builds the router, the N shards, and the worker pool.
+     * Builds the router, the N shards, and the pinned workers.
      *
      * @throws ConfigError if @p config fails Config::validate().
      */
@@ -133,24 +115,23 @@ class ShardedTalusCache
     bool access(Addr addr, PartId part = 0);
 
     /**
-     * Scatter-dispatch-gather batch execution: splits @p addrs into
-     * per-shard sub-streams (flat count-then-offset scatter,
-     * preserving stream order within each shard), drives every
-     * non-empty shard's sub-stream through TalusCache::accessBatch —
-     * on that shard's pinned worker when Config::threads > 0 — and
-     * returns the total hit count. Steady state allocates nothing.
-     * With Config::pipelineDispatch and threads > 0, batches longer
-     * than kPipelineBlock run double-buffered: the caller scatters
-     * block k+1 while the workers drain block k. Bit-exact with
-     * routing each address through access() serially, for any thread
-     * count and either pipeline setting.
+     * Scatter-dispatch-gather batch execution, kPipelineBlock
+     * addresses at a time: splits each block into per-shard
+     * sub-streams (flat count-then-offset scatter, preserving stream
+     * order within each shard), drives every non-empty shard's
+     * sub-stream through TalusCache::accessBatch — on that shard's
+     * pinned worker when Config::threads > 0 — and returns the total
+     * hit count. Blocks are double-buffered: the caller scatters
+     * block k+1 while the workers drain block k. Steady state
+     * allocates nothing. Bit-exact with routing each address through
+     * access() serially, for any thread count.
      */
     uint64_t accessBatch(Span<const Addr> addrs, PartId part = 0);
 
     /**
      * Runs one synchronous reconfiguration on every shard,
      * dispatching the per-shard control steps (snapshot + pure
-     * ControlStep + apply) concurrently on the worker pool when
+     * ControlStep + apply) to the shards' pinned workers when
      * Config::threads > 0. Shards share no state, so the result is
      * bit-exact with reconfiguring each shard serially.
      */
@@ -201,7 +182,8 @@ class ShardedTalusCache
      *  space; every shard has the same partitions). */
     uint32_t numParts() const { return cfg_.shard.numParts; }
 
-    /** Worker threads driving batches (0 = inline). */
+    /** Worker threads driving batches and control steps (0 =
+     *  inline). */
     uint32_t threads() const { return workers_.threadCount(); }
 
     /** Total capacity in lines, summed over shards. */
@@ -238,6 +220,13 @@ class ShardedTalusCache
     void buildTasks(Span<const Addr> addrs, PartId part,
                     ScatterPlan& plan, std::vector<ShardTask>& tasks);
 
+    /** Runs one control task (@p op, @p count) per shard on the
+     *  shards' owners and returns once all finished. */
+    void dispatchControl(ShardOp op, uint64_t count);
+
+    /** The pinned workers' executor: runs @p task on its shard. */
+    void runTask(const ShardTask& task);
+
     /** Sums the hit slots of exactly the shards @p tasks touched.
      *  Must run after the dispatch that produced them completed and
      *  before the next dispatch overwrites the slots. */
@@ -246,17 +235,15 @@ class ShardedTalusCache
     Config cfg_;
     ShardRouter router_;
     std::vector<std::unique_ptr<TalusCache>> shards_;
-    WorkerPool pool_; //!< Control-plane dispatch only (reconfigure*).
-    // Scatter/dispatch/gather scratch, reused across accessBatch
-    // calls so the steady state allocates nothing. accessBatch is
-    // single-caller (like TalusCache, the engine is externally
-    // synchronized). Two plan/task pairs so the pipelined path can
-    // scatter block k+1 while the workers still read block k's plan;
-    // the unpipelined path only ever uses index 0.
+    // Scatter/dispatch/gather scratch, reused across calls so the
+    // steady state allocates nothing. The engine is single-caller
+    // (like TalusCache, it is externally synchronized). Two plan/task
+    // pairs so accessBatch can scatter block k+1 while the workers
+    // still read block k's plan; control dispatch reuses tasks_[0].
     ScatterPlan plans_[2];
     std::vector<ShardTask> tasks_[2];
     std::vector<PaddedHits> shardHits_;
-    // Data-path workers. Declared last: its destructor joins the
+    // Pinned workers. Declared last: its destructor joins the
     // worker threads, which must happen while shards_ and the scratch
     // buffers above are still alive.
     PinnedWorkers workers_;

@@ -83,8 +83,8 @@ BenchEnv::usage()
         "usage: <bench> [--csv] [--full] [--scale=N] [--instr=N]\n"
         "               [--mixes=N] [--accesses=N] [--seed=N]\n"
         "               [--shards=N] [--threads=N] [--reconfig=N]\n"
-        "               [--pipeline=0|1] [--monitor-sample=N]\n"
-        "               [--trace=PATH] [--metrics=PATH]\n"
+        "               [--monitor-sample=N] [--trace=PATH]\n"
+        "               [--metrics=PATH]\n"
         "\n"
         "  --csv         emit CSV instead of aligned tables\n"
         "  --full        paper-true scale and run lengths (slow);\n"
@@ -105,10 +105,6 @@ BenchEnv::usage()
         "  --reconfig=N  accesses between control-plane\n"
         "                reconfigurations (TALUS_RECONFIG;\n"
         "                0 = bench default)\n"
-        "  --pipeline=0|1  double-buffered pipelined batch dispatch\n"
-        "                in the sharded engine (TALUS_PIPELINE;\n"
-        "                default 1 = on, 0 = serial dispatch for\n"
-        "                A/B comparison)\n"
         "  --monitor-sample=N  monitor every Nth access\n"
         "                (TALUS_MONITOR_SAMPLE; default 1 =\n"
         "                every access, the exact-curve setting;\n"
@@ -135,8 +131,7 @@ BenchEnv::init(int argc, char** argv)
     BenchEnv env;
     bool full = envFlag("TALUS_FULL");
     std::optional<uint64_t> scale_f, instr_f, mixes_f, accesses_f,
-        seed_f, shards_f, threads_f, reconfig_f, pipeline_f,
-        monitor_sample_f;
+        seed_f, shards_f, threads_f, reconfig_f, monitor_sample_f;
     std::optional<std::string> trace_f, metrics_f;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -175,8 +170,6 @@ BenchEnv::init(int argc, char** argv)
                                   &threads_f) ||
                    matchValueFlag(binary, arg, "reconfig",
                                   &reconfig_f) ||
-                   matchValueFlag(binary, arg, "pipeline",
-                                  &pipeline_f) ||
                    matchValueFlag(binary, arg, "monitor-sample",
                                   &monitor_sample_f)) {
             // Parsed into its optional above.
@@ -254,35 +247,6 @@ BenchEnv::init(int argc, char** argv)
     env.reconfig =
         rangedKnob(reconfig_f, "TALUS_RECONFIG",
                    std::numeric_limits<uint64_t>::max(), "unreachable");
-    // The pipeline knob is boolean but validated like the shard
-    // knobs — from the flag OR the env var, flags winning — and
-    // anything other than 0 or 1 is a usage error (a typo like
-    // --pipeline=10 must not silently toggle anything). Its default
-    // is 1: pipelined dispatch is the production configuration, 0 is
-    // the serial-dispatch A/B reference.
-    {
-        uint64_t value;
-        if (pipeline_f.has_value()) {
-            value = *pipeline_f;
-        } else {
-            const int64_t raw = envInt("TALUS_PIPELINE", 1);
-            if (raw < 0) {
-                std::fprintf(stderr,
-                             "%s: TALUS_PIPELINE must be 0 or 1\n\n%s",
-                             binary, usage());
-                std::exit(1);
-            }
-            value = static_cast<uint64_t>(raw);
-        }
-        if (value > 1) {
-            std::fprintf(stderr,
-                         "%s: --pipeline/TALUS_PIPELINE must be 0 or "
-                         "1\n\n%s",
-                         binary, usage());
-            std::exit(1);
-        }
-        env.pipeline = value != 0;
-    }
     // The sampling period is validated like the shard knobs, but its
     // floor is 1, not 0: period 0 is meaningless (Config::validate
     // would also reject it, but catching it here makes it a usage

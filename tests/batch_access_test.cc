@@ -142,38 +142,6 @@ fingerprintCollidingAddrs(uint64_t n, uint64_t working_set,
     return addrs;
 }
 
-TEST(BatchAccess, FingerprintProbeMatchesFullTagProbeInLockstep)
-{
-    // The single-access fast path resolves hits through the set
-    // layout's 32-bit fingerprint mirror before verifying the full
-    // tag; the batched fused kernel still probes full 64-bit tags —
-    // the pre-SoA probe. Driving both one address at a time pins the
-    // fingerprint layout to the full-tag probe result at every single
-    // access, not just in aggregate — on a trace engineered so half
-    // the addresses share a fingerprint with a distinct neighbor tag
-    // (a collision may cost a verify, never a different answer).
-    TalusCache::Config cfg;
-    cfg.llcLines = 1024;
-    cfg.ways = 16;
-    cfg.numParts = 1;
-    cfg.allocatorName = "";
-    cfg.seed = 13;
-
-    TalusCache fp_path(cfg);   // access(): fingerprint probe.
-    TalusCache full_path(cfg); // accessBatch: full-tag probe.
-    const std::vector<Addr> addrs =
-        fingerprintCollidingAddrs(30'000, 2048, 71);
-    for (size_t i = 0; i < addrs.size(); ++i) {
-        const bool hit = fp_path.access(addrs[i], 0);
-        const uint64_t batch_hit = full_path.accessBatch(
-            Span<const Addr>(&addrs[i], 1), 0);
-        ASSERT_EQ(batch_hit, hit ? 1u : 0u)
-            << "probe divergence at access " << i << " (addr 0x"
-            << std::hex << addrs[i] << ")";
-    }
-    EXPECT_EQ(fp_path.stats(0).misses, full_path.stats(0).misses);
-}
-
 TEST(BatchAccess, FingerprintCollisionsNeverChangeBatchResults)
 {
     // The same collision-heavy trace through the standard

@@ -233,43 +233,6 @@ TEST(BenchEnvDeathTest, MonitorSampleRejectsZeroAndGarbage)
     ::unsetenv("TALUS_MONITOR_SAMPLE");
 }
 
-TEST(BenchEnv, PipelineDefaultsOnAndFlagAndEnvToggleIt)
-{
-    // Pipelined dispatch is the production default; 0 selects the
-    // serial scatter-then-wait path for A/B comparison.
-    EXPECT_TRUE(initWith({}).pipeline);
-    EXPECT_FALSE(initWith({"--pipeline=0"}).pipeline);
-    EXPECT_TRUE(initWith({"--pipeline=1"}).pipeline);
-
-    ::setenv("TALUS_PIPELINE", "0", 1);
-    EXPECT_FALSE(initWith({}).pipeline);
-    // Flags win over env vars, as for every other knob.
-    EXPECT_TRUE(initWith({"--pipeline=1"}).pipeline);
-    ::unsetenv("TALUS_PIPELINE");
-}
-
-TEST(BenchEnvDeathTest, PipelineRejectsNonBooleanValues)
-{
-    // Validated like the shard knobs: malformed, negative, or
-    // out-of-range values are usage errors, not silent truths.
-    EXPECT_EXIT(initWith({"--pipeline=2"}),
-                ::testing::ExitedWithCode(1), "must be 0 or 1");
-    EXPECT_EXIT(initWith({"--pipeline=abc"}),
-                ::testing::ExitedWithCode(1), "unsigned integer");
-    EXPECT_EXIT(initWith({"--pipeline=-1"}),
-                ::testing::ExitedWithCode(1), "unsigned integer");
-
-    // The env path hits the same checks — a negative TALUS_PIPELINE
-    // must not wrap into "enabled".
-    ::setenv("TALUS_PIPELINE", "-1", 1);
-    EXPECT_EXIT(initWith({}), ::testing::ExitedWithCode(1),
-                "TALUS_PIPELINE must be 0 or 1");
-    ::setenv("TALUS_PIPELINE", "7", 1);
-    EXPECT_EXIT(initWith({}), ::testing::ExitedWithCode(1),
-                "must be 0 or 1");
-    ::unsetenv("TALUS_PIPELINE");
-}
-
 /** Writes a small valid binary trace and returns its path. */
 std::string
 writeValidTrace(const std::string& name)

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
+#include <system_error>
 #include <vector>
 
 #include "api/talus.h"
@@ -60,10 +62,13 @@ struct ShardTrace
     uint64_t totalHits = 0;
 };
 
-/** Drives the sharded engine over @p addrs in blocks. */
+/** Drives the sharded engine over @p addrs in blocks; with
+ *  @p epoch_len > 0, reconfigureAllAtEpoch(epoch_len) follows every
+ *  block. */
 ShardTrace
 runSharded(const ShardedTalusCache::Config& cfg,
-           const std::vector<Addr>& addrs, size_t block_size)
+           const std::vector<Addr>& addrs, size_t block_size,
+           uint64_t epoch_len = 0)
 {
     ShardedTalusCache cache(cfg);
     ShardTrace trace;
@@ -78,6 +83,8 @@ runSharded(const ShardedTalusCache::Config& cfg,
             trace.blockMisses[s].push_back(misses - last_misses[s]);
             last_misses[s] = misses;
         }
+        if (epoch_len > 0)
+            cache.reconfigureAllAtEpoch(epoch_len);
     }
     for (uint32_t s = 0; s < cfg.numShards; ++s) {
         trace.finalStats.push_back(cache.shardStats(s, 0));
@@ -90,11 +97,14 @@ runSharded(const ShardedTalusCache::Config& cfg,
 /**
  * The hand-built reference: N stand-alone serial TalusCache
  * instances, each fed the router's sub-stream through the scalar
- * access() path, one address at a time.
+ * access() path, one address at a time. With @p epoch_len > 0 each
+ * instance prepares a control step after every block and schedules
+ * it at the next multiple of @p epoch_len accesses.
  */
 ShardTrace
 runHandBuilt(const ShardedTalusCache::Config& cfg,
-             const std::vector<Addr>& addrs, size_t block_size)
+             const std::vector<Addr>& addrs, size_t block_size,
+             uint64_t epoch_len = 0)
 {
     // The router the engine would build, reproduced via the public
     // surface of a throwaway engine (seed derivation is internal).
@@ -121,6 +131,10 @@ runHandBuilt(const ShardedTalusCache::Config& cfg,
             const uint64_t misses = serial[s]->stats(0).misses;
             trace.blockMisses[s].push_back(misses - last_misses[s]);
             last_misses[s] = misses;
+            if (epoch_len > 0) {
+                serial[s]->prepareReconfigure();
+                serial[s]->applyReconfigureAtEpoch(epoch_len);
+            }
         }
     }
     for (uint32_t s = 0; s < cfg.numShards; ++s) {
@@ -397,115 +411,145 @@ TEST_P(ShardedMidBatchReconfig, BitExactAcrossThreadCounts)
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ShardedMidBatchReconfig,
                          ::testing::Values(1u, 4u));
 
-TEST(ShardedCache, PoolDispatchedControlStepsMatchInlineSteps)
+/**
+ * reconfigureAll() and reconfigureAllAtEpoch() run one control task
+ * per shard on the shard's pinned worker. Thread counts {0, 1, 3, 8}
+ * cover inline, one worker owning every shard, one worker per shard,
+ * and more workers than tasks. Either call must be bit-exact with
+ * running every shard's steps inline on the caller, and must run each
+ * shard's step exactly once per call.
+ */
+class ShardedControlDispatch : public ::testing::TestWithParam<uint32_t>
 {
-    // Explicit reconfigureAll() on a threaded engine (control steps
-    // claimed by pool workers) vs reconfiguring every shard inline on
-    // the caller's thread: shards share no state, so the dispatch
-    // mechanism must not change any result.
-    ShardedTalusCache::Config cfg = engineConfig(4, 0);
+};
+
+TEST_P(ShardedControlDispatch, MatchesInlineStepsOncePerShard)
+{
+    constexpr uint32_t kShards = 3;
+    constexpr size_t kBlock = 9'000;
+    // Each shard serves about 3'000 accesses per block, so every
+    // epoch-deferred step is applied during the next block.
+    constexpr uint64_t kEpoch = 1'000;
+    ShardedTalusCache::Config cfg = engineConfig(kShards, 0);
     cfg.shard.reconfigInterval = 0; // Control is explicit here.
-    const std::vector<Addr> addrs = mixedTrace(40'000, 811);
+    const std::vector<Addr> addrs = mixedTrace(45'000, 811);
 
-    ShardedTalusCache pooled_cfg_engine = [&] {
-        ShardedTalusCache::Config c = cfg;
-        c.threads = 4;
-        return ShardedTalusCache(c);
-    }();
-    ShardedTalusCache inline_engine(cfg);
-
-    for (size_t off = 0; off < addrs.size(); off += 8'000) {
-        const size_t n = std::min<size_t>(8'000, addrs.size() - off);
-        pooled_cfg_engine.accessBatch(
-            Span<const Addr>(addrs.data() + off, n), 0);
-        inline_engine.accessBatch(
-            Span<const Addr>(addrs.data() + off, n), 0);
-        pooled_cfg_engine.reconfigureAll(); // WorkerPool dispatch.
-        for (uint32_t s = 0; s < cfg.numShards; ++s)
-            inline_engine.shard(s).reconfigure(); // Inline steps.
-    }
-    expectShardStatesEqual(pooled_cfg_engine, inline_engine);
-    EXPECT_EQ(pooled_cfg_engine.reconfigurations(),
-              inline_engine.reconfigurations());
-}
-
-TEST(ShardedCache, EpochDeferredReconfigureIsThreadCountInvariant)
-{
-    // Deferred mode: compute concurrently, apply at each shard's next
-    // fixed access-count boundary. Thread counts {0, 1, 4} must agree
-    // bit-exactly, and the applications must actually happen.
-    ShardedTalusCache::Config base = engineConfig(3, 0);
-    base.shard.reconfigInterval = 0;
-    const std::vector<Addr> addrs = mixedTrace(45'000, 907);
-
-    auto run = [&](uint32_t threads) {
-        ShardedTalusCache::Config cfg = base;
-        cfg.threads = threads;
-        ShardedTalusCache engine(cfg);
-        for (size_t off = 0; off < addrs.size(); off += 9'000) {
-            const size_t n =
-                std::min<size_t>(9'000, addrs.size() - off);
-            engine.accessBatch(Span<const Addr>(addrs.data() + off, n),
-                               0);
-            engine.reconfigureAllAtEpoch(4'000);
+    for (const bool at_epoch : {false, true}) {
+        SCOPED_TRACE(at_epoch ? "reconfigureAllAtEpoch"
+                              : "reconfigureAll");
+        ShardedTalusCache::Config threaded_cfg = cfg;
+        threaded_cfg.threads = GetParam();
+        ShardedTalusCache dispatched(threaded_cfg);
+        ShardedTalusCache by_hand(cfg);
+        uint64_t calls = 0;
+        for (size_t off = 0; off < addrs.size(); off += kBlock) {
+            const Span<const Addr> batch(
+                addrs.data() + off,
+                std::min(kBlock, addrs.size() - off));
+            EXPECT_EQ(dispatched.accessBatch(batch, 0),
+                      by_hand.accessBatch(batch, 0));
+            // The last batch only applies the final deferred step.
+            if (off + kBlock >= addrs.size())
+                break;
+            ++calls;
+            if (at_epoch)
+                dispatched.reconfigureAllAtEpoch(kEpoch);
+            else
+                dispatched.reconfigureAll();
+            for (uint32_t s = 0; s < kShards; ++s) {
+                if (at_epoch) {
+                    by_hand.shard(s).prepareReconfigure();
+                    by_hand.shard(s).applyReconfigureAtEpoch(kEpoch);
+                } else {
+                    by_hand.shard(s).reconfigure();
+                }
+            }
         }
-        return engine.reconfigurations();
-    };
-
-    ShardedTalusCache::Config cfg0 = base;
-    ShardedTalusCache inline_engine(cfg0);
-    cfg0.threads = 4;
-    ShardedTalusCache threaded_engine(cfg0);
-    for (size_t off = 0; off < addrs.size(); off += 9'000) {
-        const size_t n = std::min<size_t>(9'000, addrs.size() - off);
-        inline_engine.accessBatch(Span<const Addr>(addrs.data() + off, n),
-                                  0);
-        threaded_engine.accessBatch(
-            Span<const Addr>(addrs.data() + off, n), 0);
-        inline_engine.reconfigureAllAtEpoch(4'000);
-        threaded_engine.reconfigureAllAtEpoch(4'000);
+        expectShardStatesEqual(dispatched, by_hand);
+        for (uint32_t s = 0; s < kShards; ++s) {
+            const auto got = dispatched.shardCurve(s, 0).points();
+            const auto want = by_hand.shardCurve(s, 0).points();
+            ASSERT_EQ(got.size(), want.size()) << "shard " << s;
+            for (size_t i = 0; i < want.size(); ++i)
+                EXPECT_DOUBLE_EQ(got[i].misses, want[i].misses)
+                    << "shard " << s << " point " << i;
+        }
+        EXPECT_EQ(dispatched.reconfigurations(), calls * kShards);
+        EXPECT_EQ(by_hand.reconfigurations(), calls * kShards);
     }
-    expectShardStatesEqual(threaded_engine, inline_engine);
-    EXPECT_GT(inline_engine.reconfigurations(), 0u);
-    EXPECT_EQ(run(1), inline_engine.reconfigurations());
 }
 
-// --- Pipelined dispatch (PR 10). --------------------------------------
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ShardedControlDispatch,
+                         ::testing::Values(0u, 1u, 3u, 8u));
 
-ShardedTalusCache::Config
-pipelineConfig(uint32_t shards, uint32_t threads, bool pipeline)
+/** Entries in /proc/self/task — this process's OS threads — or -1
+ *  where that directory cannot be read. */
+int
+osThreadCount()
 {
-    ShardedTalusCache::Config cfg = engineConfig(shards, threads);
-    cfg.pipelineDispatch = pipeline;
-    return cfg;
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    if (ec)
+        return -1;
+    int n = 0;
+    for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+        if (ec)
+            return -1;
+        ++n;
+    }
+    return n;
 }
+
+TEST(ShardedCache, ThreadsTOwnsExactlyTOsThreads)
+{
+    // Batches and control steps share one set of pinned workers, so
+    // an engine with threads = T starts T OS threads and no more —
+    // whether or not it has served anything yet.
+    const int before = osThreadCount();
+    if (before < 0)
+        GTEST_SKIP() << "/proc/self/task is not readable here";
+    for (uint32_t threads : {0u, 1u, 2u, 5u}) {
+        ShardedTalusCache cache(engineConfig(4, threads));
+        EXPECT_EQ(osThreadCount(), before + static_cast<int>(threads))
+            << "threads " << threads;
+        const std::vector<Addr> addrs = mixedTrace(10'000, 1409);
+        cache.accessBatch(Span<const Addr>(addrs.data(), addrs.size()),
+                          0);
+        cache.reconfigureAll();
+        cache.reconfigureAllAtEpoch(1'000);
+        EXPECT_EQ(osThreadCount(), before + static_cast<int>(threads))
+            << "threads " << threads << ", after batches and control";
+    }
+    EXPECT_EQ(osThreadCount(), before);
+}
+
+// --- Double-buffered block dispatch (PR 10). -------------------------
 
 /**
- * Double-buffered dispatch vs serial dispatch, thread counts
- * {0, 1, 4}: multi-block ragged batches (block > 2 * kPipelineBlock,
- * not a multiple of it) with the 5'000-access reconfigInterval firing
- * automatic control steps inside every batch. The pipelined path must
- * be bit-exact with the serial scatter-then-wait path AND with the
- * hand-built serial reference.
+ * Multi-block ragged batches (block > 2 * kPipelineBlock, not a
+ * multiple of it) with the 5'000-access reconfigInterval firing
+ * automatic control steps inside every batch, at thread counts
+ * {0, 1, 4}: the double-buffered block loop must be bit-exact with the
+ * inline engine AND with the hand-built serial reference.
  */
 class ShardedPipelineDeterminism
     : public ::testing::TestWithParam<uint32_t>
 {
 };
 
-TEST_P(ShardedPipelineDeterminism, PipelinedMatchesSerialDispatch)
+TEST_P(ShardedPipelineDeterminism, MultiBlockBatchesMatchInlineAndHandBuilt)
 {
     const uint32_t threads = GetParam();
     const std::vector<Addr> addrs = mixedTrace(60'000, 1511);
     const size_t block =
         2 * ShardedTalusCache::kPipelineBlock + 1237;
     const ShardTrace pipelined =
-        runSharded(pipelineConfig(4, threads, true), addrs, block);
-    const ShardTrace serial =
-        runSharded(pipelineConfig(4, threads, false), addrs, block);
-    expectTracesEqual(pipelined, serial);
+        runSharded(engineConfig(4, threads), addrs, block);
+    const ShardTrace inline_run =
+        runSharded(engineConfig(4, 0), addrs, block);
+    expectTracesEqual(pipelined, inline_run);
     const ShardTrace reference =
-        runHandBuilt(pipelineConfig(4, threads, true), addrs, block);
+        runHandBuilt(engineConfig(4, threads), addrs, block);
     expectTracesEqual(pipelined, reference);
 }
 
@@ -515,18 +559,18 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ShardedPipelineDeterminism,
 TEST(ShardedCache, PipelinedRaggedAndEmptyBatchesStayExact)
 {
     // Batch lengths straddling the kPipelineBlock boundary — empty,
-    // a single address, exactly one block (unpipelined by design),
-    // one block plus one (the smallest pipelined batch), whole
-    // multiples, and ragged multi-block sizes — driven in sequence
-    // through a pipelined threaded engine and a serial inline one.
+    // a single address, exactly one block (one scatter, one
+    // dispatch), one block plus one (the smallest double-buffered
+    // batch), whole multiples, and ragged multi-block sizes — driven
+    // in sequence through a threaded engine and an inline one.
     const std::vector<Addr> addrs = mixedTrace(45'000, 1607);
     const uint64_t kB = ShardedTalusCache::kPipelineBlock;
     const std::vector<uint64_t> lens = {0,      1,           kB,
                                         kB + 1, 3 * kB,      5,
                                         2 * kB + 777, 4 * kB};
     for (uint32_t threads : {1u, 4u}) {
-        ShardedTalusCache on(pipelineConfig(4, threads, true));
-        ShardedTalusCache off(pipelineConfig(4, 0, false));
+        ShardedTalusCache on(engineConfig(4, threads));
+        ShardedTalusCache off(engineConfig(4, 0));
         size_t pos = 0;
         for (uint64_t len : lens) {
             len = std::min<uint64_t>(len, addrs.size() - pos);
@@ -544,10 +588,10 @@ TEST(ShardedCache, PipelinedRaggedAndEmptyBatchesStayExact)
 TEST(ShardedCache, PipelinedSingleHotShardLeavesOthersEmpty)
 {
     // Every address routes to one shard, so 7 of 8 shards get no task
-    // in any pipeline block: the skip-empty-shard task building and
-    // the gather-only-touched-slots accounting are both on trial
-    // across block boundaries.
-    ShardedTalusCache probe(pipelineConfig(8, 0, true));
+    // in any block: the skip-empty-shard task building and the
+    // gather-only-touched-slots accounting are both on trial across
+    // block boundaries.
+    ShardedTalusCache probe(engineConfig(8, 0));
     const ShardRouter& router = probe.router();
     Rng rng(1709);
     std::vector<Addr> hot;
@@ -557,48 +601,31 @@ TEST(ShardedCache, PipelinedSingleHotShardLeavesOthersEmpty)
             hot.push_back(a);
     }
     const ShardTrace pipelined =
-        runSharded(pipelineConfig(8, 3, true), hot, 9419);
+        runSharded(engineConfig(8, 3), hot, 9419);
     const ShardTrace reference =
-        runHandBuilt(pipelineConfig(8, 3, true), hot, 9419);
+        runHandBuilt(engineConfig(8, 3), hot, 9419);
     expectTracesEqual(pipelined, reference);
 }
 
 TEST(ShardedCache, PipelinedEpochDeferredReconfigStaysExact)
 {
     // Epoch-deferred control steps computed between multi-block
-    // pipelined batches but applied mid-stream at fixed per-shard
-    // access counts — so applications land inside later pipeline
-    // blocks. Pipeline on/off and thread counts must all agree.
-    ShardedTalusCache::Config base = pipelineConfig(4, 0, false);
+    // batches but applied mid-stream at fixed per-shard access counts
+    // — so applications land inside later blocks. Thread counts
+    // {0, 1, 4} must all agree with the hand-built reference.
+    ShardedTalusCache::Config base = engineConfig(4, 0);
     base.shard.reconfigInterval = 0;
     const std::vector<Addr> addrs = mixedTrace(45'000, 1801);
 
-    auto run = [&](uint32_t threads, bool pipeline) {
+    const ShardTrace reference = runHandBuilt(base, addrs, 13'000, 6'000);
+    for (uint32_t threads : {0u, 1u, 4u}) {
         ShardedTalusCache::Config cfg = base;
         cfg.threads = threads;
-        cfg.pipelineDispatch = pipeline;
-        ShardedTalusCache engine(cfg);
-        for (size_t off = 0; off < addrs.size(); off += 13'000) {
-            const size_t n =
-                std::min<size_t>(13'000, addrs.size() - off);
-            engine.accessBatch(Span<const Addr>(addrs.data() + off, n),
-                               0);
-            engine.reconfigureAllAtEpoch(6'000);
-        }
-        std::vector<uint64_t> fingerprint;
-        for (uint32_t s = 0; s < engine.numShards(); ++s) {
-            fingerprint.push_back(engine.shardStats(s, 0).accesses);
-            fingerprint.push_back(engine.shardStats(s, 0).misses);
-            fingerprint.push_back(engine.shard(s).reconfigurations());
-        }
-        return fingerprint;
-    };
-
-    const std::vector<uint64_t> reference = run(0, false);
-    EXPECT_EQ(run(0, true), reference);
-    EXPECT_EQ(run(1, true), reference);
-    EXPECT_EQ(run(4, true), reference);
-    EXPECT_EQ(run(4, false), reference);
+        expectTracesEqual(runSharded(cfg, addrs, 13'000, 6'000),
+                          reference);
+    }
+    for (uint32_t s = 0; s < base.numShards; ++s)
+        EXPECT_GT(reference.reconfigs[s], 0u) << "shard " << s;
 }
 
 TEST(ShardedCache, MissRatioAndStatsShareResetWindows)
